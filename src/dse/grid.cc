@@ -1,7 +1,8 @@
 #include "dse/grid.h"
 
-#include <map>
+#include <cmath>
 
+#include "common/json.h"
 #include "common/string_util.h"
 #include "minigraph/selectors.h"
 #include "workloads/workload.h"
@@ -12,264 +13,56 @@ namespace mg::dse
 namespace
 {
 
-// ---------------------------------------------------------------------
-// Minimal JSON reader — just enough for grid documents: objects,
-// arrays, strings, integers.  (The repo's JSON *writers* are all
-// deterministic hand-rolled emitters; this is its first reader of
-// externally authored JSON, so errors must be positioned and clear.)
-// ---------------------------------------------------------------------
+using json::Kind;
+using json::Value;
 
-struct JValue
+/** A positive integer below 2^32, in any number form ("4", "4.0"). */
+bool
+positiveU32(const Value &v, uint32_t &out)
 {
-    enum Kind { Object, Array, String, Number, Bool, Null } kind = Null;
-    std::map<std::string, JValue> object;
-    std::vector<JValue> array;
-    std::string string_;
-    double number = 0.0;
-    bool boolean = false;
-};
-
-struct JParser
-{
-    const std::string &text;
-    size_t pos = 0;
-    std::string err;
-
-    explicit JParser(const std::string &t) : text(t) {}
-
-    void
-    fail(const std::string &why)
-    {
-        if (err.empty())
-            err = "offset " + std::to_string(pos) + ": " + why;
-    }
-
-    void
-    skipSpace()
-    {
-        while (pos < text.size() &&
-               (text[pos] == ' ' || text[pos] == '\t' ||
-                text[pos] == '\n' || text[pos] == '\r'))
-            ++pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipSpace();
-        if (pos < text.size() && text[pos] == c) {
-            ++pos;
-            return true;
-        }
+    double d = 0.0;
+    if (!json::toDouble(v, d) || d < 1 || d > UINT32_MAX ||
+        d != std::floor(d))
         return false;
-    }
-
-    JValue
-    parseValue()
-    {
-        skipSpace();
-        if (pos >= text.size()) {
-            fail("unexpected end of input");
-            return {};
-        }
-        char c = text[pos];
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
-        if (c == '"')
-            return parseString();
-        if (c == 't' || c == 'f')
-            return parseBool();
-        if (c == 'n') {
-            if (text.compare(pos, 4, "null") == 0) {
-                pos += 4;
-                return {};
-            }
-            fail("bad literal");
-            return {};
-        }
-        return parseNumber();
-    }
-
-    JValue
-    parseObject()
-    {
-        JValue v;
-        v.kind = JValue::Object;
-        ++pos; // '{'
-        skipSpace();
-        if (consume('}'))
-            return v;
-        for (;;) {
-            skipSpace();
-            if (pos >= text.size() || text[pos] != '"') {
-                fail("expected object key string");
-                return v;
-            }
-            JValue key = parseString();
-            if (!err.empty())
-                return v;
-            if (!consume(':')) {
-                fail("expected ':'");
-                return v;
-            }
-            v.object[key.string_] = parseValue();
-            if (!err.empty())
-                return v;
-            if (consume(','))
-                continue;
-            if (consume('}'))
-                return v;
-            fail("expected ',' or '}'");
-            return v;
-        }
-    }
-
-    JValue
-    parseArray()
-    {
-        JValue v;
-        v.kind = JValue::Array;
-        ++pos; // '['
-        skipSpace();
-        if (consume(']'))
-            return v;
-        for (;;) {
-            v.array.push_back(parseValue());
-            if (!err.empty())
-                return v;
-            if (consume(','))
-                continue;
-            if (consume(']'))
-                return v;
-            fail("expected ',' or ']'");
-            return v;
-        }
-    }
-
-    JValue
-    parseString()
-    {
-        JValue v;
-        v.kind = JValue::String;
-        ++pos; // '"'
-        while (pos < text.size() && text[pos] != '"') {
-            char c = text[pos];
-            if (c == '\\') {
-                if (pos + 1 >= text.size()) {
-                    fail("bad escape");
-                    return v;
-                }
-                char e = text[pos + 1];
-                switch (e) {
-                case 'n': v.string_ += '\n'; break;
-                case 't': v.string_ += '\t'; break;
-                case 'r': v.string_ += '\r'; break;
-                case '"':
-                case '\\':
-                case '/': v.string_ += e; break;
-                default: fail("unsupported escape"); return v;
-                }
-                pos += 2;
-                continue;
-            }
-            v.string_ += c;
-            ++pos;
-        }
-        if (pos >= text.size()) {
-            fail("unterminated string");
-            return v;
-        }
-        ++pos; // closing '"'
-        return v;
-    }
-
-    JValue
-    parseBool()
-    {
-        JValue v;
-        v.kind = JValue::Bool;
-        if (text.compare(pos, 4, "true") == 0) {
-            v.boolean = true;
-            pos += 4;
-        } else if (text.compare(pos, 5, "false") == 0) {
-            v.boolean = false;
-            pos += 5;
-        } else {
-            fail("bad literal");
-        }
-        return v;
-    }
-
-    JValue
-    parseNumber()
-    {
-        JValue v;
-        v.kind = JValue::Number;
-        size_t start = pos;
-        if (pos < text.size() && (text[pos] == '-' || text[pos] == '+'))
-            ++pos;
-        while (pos < text.size() &&
-               ((text[pos] >= '0' && text[pos] <= '9') ||
-                text[pos] == '.' || text[pos] == 'e' ||
-                text[pos] == 'E' || text[pos] == '-' ||
-                text[pos] == '+'))
-            ++pos;
-        if (pos == start) {
-            fail("expected a value");
-            return v;
-        }
-        try {
-            v.number = std::stod(text.substr(start, pos - start));
-        } catch (...) {
-            fail("bad number");
-        }
-        return v;
-    }
-};
+    out = static_cast<uint32_t>(d);
+    return true;
+}
 
 /** Read one positive-integer axis ("width": [2, 4] or "width": 4). */
 std::string
-readAxis(const JValue &root, const std::string &name, uint32_t base_value,
+readAxis(const Value &root, const std::string &name, uint32_t base_value,
          std::vector<uint32_t> &out)
 {
     out.clear();
-    auto it = root.object.find(name);
-    if (it == root.object.end()) {
+    const Value *axis = root.find(name);
+    if (!axis) {
         out.push_back(base_value);
         return "";
     }
-    std::vector<const JValue *> items;
-    if (it->second.kind == JValue::Number) {
-        items.push_back(&it->second);
-    } else if (it->second.kind == JValue::Array) {
-        for (const JValue &v : it->second.array)
-            items.push_back(&v);
-    } else {
+    if (axis->kind != Kind::Number && axis->kind != Kind::Array)
         return "'" + name + "' must be a number or array of numbers";
-    }
+    const std::vector<Value> items = axis->kind == Kind::Number
+                                         ? std::vector<Value>{*axis}
+                                         : axis->children;
     if (items.empty())
         return "'" + name + "' must not be empty";
-    for (const JValue *v : items) {
-        if (v->kind != JValue::Number || v->number < 1 ||
-            v->number != static_cast<uint32_t>(v->number))
+    for (const Value &v : items) {
+        if (!positiveU32(v, out.emplace_back()))
             return "'" + name + "' values must be positive integers";
-        out.push_back(static_cast<uint32_t>(v->number));
     }
     return "";
 }
 
 std::string
-readStringList(const JValue &v, const std::string &name,
+readStringList(const Value &v, const std::string &name,
                std::vector<std::string> &out)
 {
-    if (v.kind != JValue::Array)
+    if (v.kind != Kind::Array)
         return "'" + name + "' must be an array of strings";
-    for (const JValue &e : v.array) {
-        if (e.kind != JValue::String)
+    for (const Value &e : v.children) {
+        if (e.kind != Kind::String)
             return "'" + name + "' must be an array of strings";
-        out.push_back(e.string_);
+        out.emplace_back(e.text);
     }
     if (out.empty())
         return "'" + name + "' must not be empty";
@@ -311,45 +104,41 @@ workloadSet(const std::string &name)
 std::string
 parseGrid(const std::string &json_text, GridSpec &out)
 {
-    JParser p(json_text);
-    JValue root = p.parseValue();
-    p.skipSpace();
-    if (p.err.empty() && p.pos != p.text.size())
-        p.fail("trailing garbage after document");
-    if (!p.err.empty())
-        return "grid JSON: " + p.err;
-    if (root.kind != JValue::Object)
+    json::Document doc;
+    if (std::string err = json::parse(json_text, doc); !err.empty())
+        return "grid JSON: " + err;
+    const Value &root = doc.root;
+    if (root.kind != Kind::Object)
         return "grid JSON: top level must be an object";
 
-    for (const auto &[key, value] : root.object) {
-        (void)value;
+    for (const Value &member : root.children) {
+        const std::string_view key = member.key;
         if (key != "base" && key != "workloads" && key != "selectors" &&
             key != "width" && key != "iq" && key != "regs" &&
             key != "mgt" && key != "configs")
-            return "grid JSON: unknown key '" + key + "'";
+            return "grid JSON: unknown key '" + std::string(key) + "'";
     }
 
     GridSpec grid;
-    if (auto it = root.object.find("base"); it != root.object.end()) {
-        if (it->second.kind != JValue::String)
+    if (const Value *base = root.find("base")) {
+        if (base->kind != Kind::String)
             return "grid JSON: 'base' must be a string";
-        grid.base = it->second.string_;
+        grid.base = base->text;
     }
     auto base = uarch::configFromName(grid.base);
     if (!base)
         return "grid JSON: unknown base config '" + grid.base + "'";
 
     // Workloads: named set or explicit list.
-    if (auto it = root.object.find("workloads");
-        it != root.object.end()) {
-        if (it->second.kind == JValue::String) {
-            grid.workloads = workloadSet(it->second.string_);
+    if (const Value *w = root.find("workloads")) {
+        if (w->kind == Kind::String) {
+            const std::string set(w->text);
+            grid.workloads = workloadSet(set);
             if (grid.workloads.empty())
-                return "grid JSON: unknown workload set '" +
-                       it->second.string_ +
+                return "grid JSON: unknown workload set '" + set +
                        "' (want golden, pinned or all)";
-        } else if (std::string err = readStringList(
-                       it->second, "workloads", grid.workloads);
+        } else if (std::string err =
+                       readStringList(*w, "workloads", grid.workloads);
                    !err.empty()) {
             return "grid JSON: " + err;
         }
@@ -358,13 +147,11 @@ parseGrid(const std::string &json_text, GridSpec &out)
     }
 
     // Selectors: explicit list or the paper set.
-    if (auto it = root.object.find("selectors");
-        it != root.object.end()) {
-        if (it->second.kind == JValue::String &&
-            it->second.string_ == "paper") {
+    if (const Value *s = root.find("selectors")) {
+        if (s->kind == Kind::String && s->text == "paper") {
             grid.selectors = paperSelectors();
-        } else if (std::string err = readStringList(
-                       it->second, "selectors", grid.selectors);
+        } else if (std::string err =
+                       readStringList(*s, "selectors", grid.selectors);
                    !err.empty()) {
             return "grid JSON: " + err;
         }
@@ -373,29 +160,23 @@ parseGrid(const std::string &json_text, GridSpec &out)
     }
 
     // Configurations: explicit tuples win over the axis product.
-    if (auto it = root.object.find("configs");
-        it != root.object.end()) {
+    if (const Value *configs = root.find("configs")) {
         for (const char *axis : {"width", "iq", "regs", "mgt"}) {
-            if (root.object.count(axis))
+            if (root.find(axis))
                 return std::string("grid JSON: '") + axis +
                        "' and 'configs' are mutually exclusive";
         }
-        if (it->second.kind != JValue::Array ||
-            it->second.array.empty())
+        if (configs->kind != Kind::Array || configs->children.empty())
             return "grid JSON: 'configs' must be a non-empty array";
-        for (const JValue &tuple : it->second.array) {
-            if (tuple.kind != JValue::Array ||
-                tuple.array.size() != 4)
+        for (const Value &tuple : configs->children) {
+            if (tuple.kind != Kind::Array || tuple.children.size() != 4)
                 return "grid JSON: each 'configs' entry must be "
                        "[width, iq, regs, mgt]";
             ConfigTuple t{};
             for (size_t i = 0; i < 4; ++i) {
-                const JValue &v = tuple.array[i];
-                if (v.kind != JValue::Number || v.number < 1 ||
-                    v.number != static_cast<uint32_t>(v.number))
+                if (!positiveU32(tuple.children[i], t[i]))
                     return "grid JSON: 'configs' values must be "
                            "positive integers";
-                t[i] = static_cast<uint32_t>(v.number);
             }
             for (const ConfigTuple &prev : grid.configs) {
                 if (prev == t)

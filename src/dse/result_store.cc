@@ -195,7 +195,8 @@ std::string
 ResultStore::validateEntry(const std::string &content,
                            const std::string &key_hex,
                            std::string *stats_line_out,
-                           std::string *version_out)
+                           std::string *version_out,
+                           trace::ParsedStats *parsed_out)
 {
     // The writer terminates the file with '\n'; anything else is the
     // mid-write truncation signature.
@@ -239,6 +240,8 @@ ResultStore::validateEntry(const std::string &content,
         *stats_line_out = stats;
     if (version_out)
         *version_out = tokens[3];
+    if (parsed_out)
+        *parsed_out = std::move(parsed);
     return "";
 }
 
@@ -265,6 +268,13 @@ ResultStore::quarantine(const std::string &path,
 std::optional<std::string>
 ResultStore::lookup(const StoreKey &key)
 {
+    trace::ParsedStats parsed;
+    return lookup(key, parsed);
+}
+
+std::optional<std::string>
+ResultStore::lookup(const StoreKey &key, trace::ParsedStats &parsed)
+{
     mg_assert(isOpen(), "ResultStore::lookup before open()");
     const std::string path = objectPath(key);
     bool ok = false;
@@ -275,7 +285,7 @@ ResultStore::lookup(const StoreKey &key)
     }
     std::string stats;
     if (std::string reason =
-            validateEntry(content, key.hex(), &stats, nullptr);
+            validateEntry(content, key.hex(), &stats, nullptr, &parsed);
         !reason.empty()) {
         quarantine(path, key.hex(), reason);
         ++nMisses;

@@ -45,6 +45,7 @@
 
 #include "assembler/program.h"
 #include "common/version.h"
+#include "trace/stats_parse.h"
 #include "uarch/config.h"
 
 namespace mg::dse
@@ -157,6 +158,10 @@ class ResultStore
      */
     std::optional<std::string> lookup(const StoreKey &key);
 
+    /** lookup() that also hands back the served line's parse. */
+    std::optional<std::string> lookup(const StoreKey &key,
+                                      trace::ParsedStats &parsed);
+
     /**
      * Store one completed run.  The write is atomic (staged in tmp/,
      * renamed into place), so a concurrent writer of the same key is
@@ -198,10 +203,10 @@ class ResultStore
      * Validate one entry file's bytes against its expected key.
      * @return "" if valid, else the failure reason slug
      */
-    static std::string validateEntry(const std::string &content,
-                                     const std::string &key_hex,
-                                     std::string *stats_line_out,
-                                     std::string *version_out);
+    static std::string validateEntry(
+        const std::string &content, const std::string &key_hex,
+        std::string *stats_line_out, std::string *version_out,
+        trace::ParsedStats *parsed_out = nullptr);
 
     /** Move a bad entry into quarantine/ and record it. */
     void quarantine(const std::string &path, const std::string &key_hex,

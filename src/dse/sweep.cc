@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/stats_util.h"
 #include "common/string_util.h"
@@ -21,33 +22,10 @@ namespace mg::dse
 namespace
 {
 
-/** Minimal JSON string escape (names and error messages). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
 std::string
 jstr(const std::string &s)
 {
-    return "\"" + jsonEscape(s) + "\"";
+    return "\"" + json::escape(s) + "\"";
 }
 
 std::string
@@ -84,6 +62,7 @@ struct PointRecord
     PointStatus status = PointStatus::Skipped;
     std::string keyHex;     ///< content address (Ok points)
     std::string statsLine;  ///< the stored stats-JSON bytes (Ok)
+    uarch::SimResult sim;   ///< what statsLine parses to (Ok)
     double predicted = 0.0; ///< model IPC (Pruned)
     std::string dominatedBy; ///< dominating config (Pruned)
     std::string errorClass;  ///< error class slug (Error)
@@ -148,19 +127,13 @@ pointJson(const SweepPoint &pt, const PointRecord &rec)
                     ", \"config\": " + jstr(pt.config.name) +
                     ", \"cost\": " + jnum(pt.cost);
     switch (rec.status) {
-      case PointStatus::Ok: {
-        trace::ParsedStats parsed;
-        std::string err = trace::parseStatsJson(rec.statsLine, parsed);
-        if (!err.empty()) // lookup/insert validated; cannot happen
-            mg_panic("sweep: stored stats line unparsable: %s",
-                     err.c_str());
+      case PointStatus::Ok:
         j += ", \"status\": \"ok\", \"key\": " + jstr(rec.keyHex) +
-             ", \"cycles\": " + jnum(parsed.sim.cycles) +
-             ", \"ipc\": " + jfix(parsed.sim.ipc()) +
-             ", \"coverage\": " + jfix(parsed.sim.coverage()) +
+             ", \"cycles\": " + jnum(rec.sim.cycles) +
+             ", \"ipc\": " + jfix(rec.sim.ipc()) +
+             ", \"coverage\": " + jfix(rec.sim.coverage()) +
              ", \"statsHash\": " + jstr(hex64(fnv1a64(rec.statsLine)));
         break;
-      }
       case PointStatus::Pruned:
         j += ", \"status\": \"pruned\", \"predictedIpc\": " +
              jfix(rec.predicted) +
@@ -262,9 +235,11 @@ runSweep(const GridSpec &grid, const SweepOptions &opts)
             deriveKey(programs.at(pt.workload), pt.config, pt.selector,
                       pt.templateBudget);
         rec.keyHex = key.hex();
-        if (auto line = store.lookup(key)) {
+        trace::ParsedStats parsed;
+        if (auto line = store.lookup(key, parsed)) {
             rec.status = PointStatus::Ok;
             rec.statsLine = std::move(*line);
+            rec.sim = std::move(parsed.sim);
             ++out.summary.hits;
             continue;
         }
@@ -318,8 +293,11 @@ runSweep(const GridSpec &grid, const SweepOptions &opts)
             std::string err = store.insert(runKeys[i], line);
             if (!err.empty() && out.error.empty())
                 out.error = "store insert failed: " + err;
+            trace::ParsedStats parsed; // valid unless insert failed
+            trace::parseStatsJson(line, parsed);
             rec.status = PointStatus::Ok;
             rec.statsLine = std::move(line);
+            rec.sim = std::move(parsed.sim);
         }
         if (!out.error.empty())
             return out;
@@ -362,11 +340,9 @@ runSweep(const GridSpec &grid, const SweepOptions &opts)
     for (size_t i = 0; i < points.size(); ++i) {
         if (records[i].status != PointStatus::Ok)
             continue;
-        trace::ParsedStats parsed;
-        trace::parseStatsJson(records[i].statsLine, parsed);
         const size_t cfgIdx = i % nCfg;
         const size_t selIdx = (i / nCfg) % nSel;
-        ipcs[selIdx * nCfg + cfgIdx].push_back(parsed.sim.ipc());
+        ipcs[selIdx * nCfg + cfgIdx].push_back(records[i].sim.ipc());
     }
     for (size_t s = 0; s < nSel; ++s)
         for (size_t c = 0; c < nCfg; ++c) {

@@ -1,7 +1,8 @@
 #include "minigraph/static_rank.h"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "common/json.h"
 
 namespace mg::minigraph
 {
@@ -86,34 +87,10 @@ analyzeProgram(const assembler::Program &prog)
     return rep;
 }
 
-namespace
-{
-
-/** Minimal JSON string escape (names are identifiers or paths). */
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    for (char ch : s) {
-        if (ch == '"' || ch == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(ch) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-            out += buf;
-            continue;
-        }
-        out += ch;
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 analyzeReportJson(const AnalyzeReport &r)
 {
-    std::string out = "{\"program\":\"" + escape(r.program) + "\"";
+    std::string out = "{\"program\":\"" + json::escape(r.program) + "\"";
     auto field = [&out](const char *key, uint64_t v) {
         out += ",\"";
         out += key;

@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include "common/string_util.h"
 #include "trace/stats_parse.h"
 
 namespace mg::sim::journal
@@ -30,8 +31,14 @@ runKey(const RunRequest &req, const std::string &sim_version)
     key += "|budget=" + std::to_string(req.templateBudget);
     if (req.profileFromAltInput)
         key += "|cross-input";
-    if (req.chosen)
-        key += "|chosen=" + std::to_string(req.chosen->size());
+    if (req.chosen) {
+        std::string pcs;
+        for (const minigraph::Candidate &c : *req.chosen)
+            pcs += std::to_string(c.firstPc) + "+" +
+                   std::to_string(c.len) + ";";
+        key += "|chosen=" + std::to_string(req.chosen->size()) + "-" +
+               hex64(fnv1a64(pcs));
+    }
     key += "|sim=" + sim_version;
     return key;
 }

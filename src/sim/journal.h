@@ -39,8 +39,10 @@ namespace mg::sim::journal
  *
  *     "crc32.0#alt|reduced|slack-profile|budget=512|cross-input|sim=mg-sim-8"
  *
- * Keys contain no tabs or newlines (journal framing) and no ':'
- * (fault-spec match separator).  Configs must be named (registry
+ * A chosen set adds "|chosen=<count>-<FNV-1a of its (firstPc, len)
+ * list>": Fig-8 batches hold many different sets of one size.  Keys
+ * contain no tabs or newlines (journal framing) and no ':', '!' or '@'
+ * (fault-spec separators).  Configs must be named (registry
  * configs always are); an unnamed config yields an "?" component.
  *
  * @param sim_version  defaults to the compiled-in kSimVersion;

@@ -2,10 +2,13 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
+#include <variant>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "minigraph/selectors.h"
@@ -302,151 +305,90 @@ benchJson(const PerfReport &rep)
 namespace
 {
 
-/** Minimal cursor over a JSON document with our fixed shape. */
-struct JsonCursor
+using json::Kind;
+using json::Value;
+
+/** A statsHash: 16 hex digits in a string. */
+struct Hex64
 {
-    const char *p;
-    const char *end;
-    std::string err;
-
-    void
-    skipWs()
-    {
-        while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' ||
-                           *p == '\r'))
-            ++p;
-    }
-
-    bool
-    fail(const std::string &what)
-    {
-        if (err.empty())
-            err = what;
-        return false;
-    }
-
-    bool
-    expect(char c)
-    {
-        skipWs();
-        if (p >= end || *p != c)
-            return fail(std::string("expected '") + c + "'");
-        ++p;
-        return true;
-    }
-
-    /** Peek (after whitespace) without consuming. */
-    char
-    peek()
-    {
-        skipWs();
-        return p < end ? *p : '\0';
-    }
-
-    bool
-    parseString(std::string &out)
-    {
-        if (!expect('"'))
-            return false;
-        out.clear();
-        while (p < end && *p != '"') {
-            if (*p == '\\') {
-                ++p;
-                if (p >= end)
-                    return fail("dangling escape");
-                switch (*p) {
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  case 'r': out += '\r'; break;
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  default: out += *p; break;
-                }
-                ++p;
-            } else {
-                out += *p++;
-            }
-        }
-        if (p >= end)
-            return fail("unterminated string");
-        ++p; // closing quote
-        return true;
-    }
-
-    bool
-    parseDouble(double &out)
-    {
-        skipWs();
-        char *after = nullptr;
-        out = std::strtod(p, &after);
-        if (after == p)
-            return fail("expected a number");
-        p = after;
-        return true;
-    }
-
-    bool
-    parseU64(uint64_t &out)
-    {
-        skipWs();
-        char *after = nullptr;
-        out = std::strtoull(p, &after, 10);
-        if (after == p)
-            return fail("expected an integer");
-        p = after;
-        return true;
-    }
-
-    bool
-    parseBool(bool &out)
-    {
-        skipWs();
-        if (end - p >= 4 && std::strncmp(p, "true", 4) == 0) {
-            out = true;
-            p += 4;
-            return true;
-        }
-        if (end - p >= 5 && std::strncmp(p, "false", 5) == 0) {
-            out = false;
-            p += 5;
-            return true;
-        }
-        return fail("expected true/false");
-    }
-
-    /**
-     * Iterate "key": value pairs of an object, invoking fn(key); fn
-     * parses the value and returns false on error.
-     */
-    template <typename Fn>
-    bool
-    parseObject(Fn fn)
-    {
-        if (!expect('{'))
-            return false;
-        if (peek() == '}') {
-            ++p;
-            return true;
-        }
-        for (;;) {
-            std::string key;
-            if (!parseString(key) || !expect(':'))
-                return false;
-            if (!fn(key))
-                return false;
-            char c = peek();
-            if (c == ',') {
-                ++p;
-                continue;
-            }
-            if (c == '}') {
-                ++p;
-                return true;
-            }
-            return fail("expected ',' or '}' in object");
-        }
-    }
+    uint64_t *value;
 };
+
+/** Where the value of one bench key goes. */
+using Field = std::variant<std::string *, bool *, double *, unsigned *,
+                           uint64_t *, long *, Hex64, const Value **>;
+
+bool
+read(const Value &v, std::string *out)
+{
+    if (v.kind == Kind::String)
+        *out = v.text;
+    return v.kind == Kind::String;
+}
+
+bool
+read(const Value &v, bool *out)
+{
+    if (v.kind == Kind::Bool)
+        *out = v.boolean;
+    return v.kind == Kind::Bool;
+}
+
+bool
+read(const Value &v, double *out)
+{
+    return json::toDouble(v, *out);
+}
+
+/** A non-negative integer that fits in T. */
+template <typename T>
+bool
+read(const Value &v, T *out)
+{
+    uint64_t x = 0;
+    if (!json::toU64(v, x) ||
+        x > static_cast<uint64_t>(std::numeric_limits<T>::max()))
+        return false;
+    *out = static_cast<T>(x);
+    return true;
+}
+
+bool
+read(const Value &v, Hex64 out)
+{
+    const char *last = v.text.data() + v.text.size();
+    const auto [ptr, ec] =
+        std::from_chars(v.text.data(), last, *out.value, 16);
+    return v.kind == Kind::String && v.text.size() == 16 &&
+           ec == std::errc() && ptr == last;
+}
+
+/** A nested object or array, read on its own. */
+bool
+read(const Value &v, const Value **out)
+{
+    *out = &v;
+    return true;
+}
+
+/** Read each member of an object into its named field, or say why not. */
+std::string
+readObject(const Value &obj,
+           std::initializer_list<std::pair<std::string_view, Field>> fields)
+{
+    if (obj.kind != Kind::Object)
+        return "expected an object";
+    for (const Value &m : obj.children) {
+        auto it = std::find_if(fields.begin(), fields.end(),
+                               [&](const auto &f) { return f.first == m.key; });
+        if (it == fields.end())
+            return "unknown key '" + std::string(m.key) + "'";
+        if (!std::visit([&](auto field) { return read(m, field); },
+                        it->second))
+            return "bad value for '" + std::string(m.key) + "'";
+    }
+    return "";
+}
 
 } // namespace
 
@@ -454,123 +396,49 @@ std::string
 parseBenchJson(const std::string &text, PerfReport &out)
 {
     out = PerfReport{};
-    JsonCursor cur{text.data(), text.data() + text.size(), ""};
+    json::Document doc;
+    if (std::string err = json::parse(text, doc); !err.empty())
+        return err;
+
     std::string schema;
-    double speedup_ignored = 0.0;
-
-    bool ok = cur.parseObject([&](const std::string &key) -> bool {
-        if (key == "schema")
-            return cur.parseString(schema);
-        if (key == "pr") {
-            uint64_t v;
-            if (!cur.parseU64(v))
-                return false;
-            out.pr = static_cast<unsigned>(v);
-            return true;
-        }
-        if (key == "subset")
-            return cur.parseString(out.subset);
-        if (key == "jobs") {
-            uint64_t v;
-            if (!cur.parseU64(v))
-                return false;
-            out.jobs = static_cast<unsigned>(v);
-            return true;
-        }
-        if (key == "batchWallSec")
-            return cur.parseDouble(out.batchWallSec);
-        if (key == "totalSimCycles")
-            return cur.parseU64(out.totalSimCycles);
-        if (key == "simCyclesPerSec")
-            return cur.parseDouble(out.simCyclesPerSec);
-        if (key == "peakRssKb") {
-            double v;
-            if (!cur.parseDouble(v))
-                return false;
-            out.peakRssKb = static_cast<long>(v);
-            return true;
-        }
-        if (key == "speedup")
-            return cur.parseDouble(speedup_ignored);
-        if (key == "baseline") {
-            PerfBaseline b;
-            bool bok = cur.parseObject([&](const std::string &k) {
-                if (k == "label")
-                    return cur.parseString(b.label);
-                if (k == "batchWallSec")
-                    return cur.parseDouble(b.batchWallSec);
-                if (k == "totalSimCycles")
-                    return cur.parseU64(b.totalSimCycles);
-                if (k == "simCyclesPerSec")
-                    return cur.parseDouble(b.simCyclesPerSec);
-                if (k == "peakRssKb") {
-                    double v;
-                    if (!cur.parseDouble(v))
-                        return false;
-                    b.peakRssKb = static_cast<long>(v);
-                    return true;
-                }
-                return cur.fail("unknown baseline key '" + k + "'");
-            });
-            if (!bok)
-                return false;
-            out.baseline = b;
-            return true;
-        }
-        if (key == "runs") {
-            if (!cur.expect('['))
-                return false;
-            if (cur.peek() == ']') {
-                ++cur.p;
-                return true;
-            }
-            for (;;) {
-                PerfRun r;
-                bool rok = cur.parseObject([&](const std::string &k) {
-                    if (k == "workload")
-                        return cur.parseString(r.cell.workload);
-                    if (k == "config")
-                        return cur.parseString(r.cell.config);
-                    if (k == "selector")
-                        return cur.parseString(r.cell.selector);
-                    if (k == "ok")
-                        return cur.parseBool(r.ok);
-                    if (k == "simCycles")
-                        return cur.parseU64(r.simCycles);
-                    if (k == "statsHash") {
-                        std::string hex;
-                        if (!cur.parseString(hex))
-                            return false;
-                        r.statsHash =
-                            std::strtoull(hex.c_str(), nullptr, 16);
-                        return true;
-                    }
-                    if (k == "wallSec")
-                        return cur.parseDouble(r.wallSec);
-                    if (k == "error")
-                        return cur.parseString(r.error);
-                    return cur.fail("unknown run key '" + k + "'");
-                });
-                if (!rok)
-                    return false;
-                out.runs.push_back(std::move(r));
-                char c = cur.peek();
-                if (c == ',') {
-                    ++cur.p;
-                    continue;
-                }
-                if (c == ']') {
-                    ++cur.p;
-                    return true;
-                }
-                return cur.fail("expected ',' or ']' in runs");
-            }
-        }
-        return cur.fail("unknown key '" + key + "'");
-    });
-
-    if (!ok)
-        return cur.err.empty() ? "malformed bench JSON" : cur.err;
+    double speedup = 0.0; // recomputed from the baseline
+    const Value *baseline = nullptr, *runs = nullptr;
+    std::string err = readObject(
+        doc.root, {{"schema", &schema}, {"pr", &out.pr},
+                   {"subset", &out.subset}, {"jobs", &out.jobs},
+                   {"batchWallSec", &out.batchWallSec},
+                   {"totalSimCycles", &out.totalSimCycles},
+                   {"simCyclesPerSec", &out.simCyclesPerSec},
+                   {"peakRssKb", &out.peakRssKb}, {"speedup", &speedup},
+                   {"baseline", &baseline}, {"runs", &runs}});
+    if (err.empty() && baseline) {
+        PerfBaseline &b = out.baseline.emplace();
+        err = readObject(*baseline,
+                         {{"label", &b.label},
+                          {"batchWallSec", &b.batchWallSec},
+                          {"totalSimCycles", &b.totalSimCycles},
+                          {"simCyclesPerSec", &b.simCyclesPerSec},
+                          {"peakRssKb", &b.peakRssKb}});
+        if (!err.empty())
+            err = "baseline: " + err;
+    }
+    if (err.empty() && runs && runs->kind != Kind::Array)
+        err = "'runs' is not an array";
+    for (size_t i = 0; err.empty() && runs && i < runs->children.size();
+         ++i) {
+        PerfRun &r = out.runs.emplace_back();
+        err = readObject(runs->children[i],
+                         {{"workload", &r.cell.workload},
+                          {"config", &r.cell.config},
+                          {"selector", &r.cell.selector}, {"ok", &r.ok},
+                          {"simCycles", &r.simCycles},
+                          {"statsHash", Hex64{&r.statsHash}},
+                          {"wallSec", &r.wallSec}, {"error", &r.error}});
+        if (!err.empty())
+            err = "runs[" + std::to_string(i) + "]: " + err;
+    }
+    if (!err.empty())
+        return err;
     if (schema != "mg-bench-v1")
         return "unsupported schema '" + schema + "'";
     return "";

@@ -2,37 +2,13 @@
 
 #include <cstdio>
 
+#include "common/json.h"
+
 namespace mg::trace
 {
 
 namespace
 {
-
-/** JSON string escape (control chars, quote, backslash). */
-std::string
-esc(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 void
 event(std::string &out, bool &first, const std::string &name,
@@ -43,7 +19,7 @@ event(std::string &out, bool &first, const std::string &name,
         out += ",";
     first = false;
     char buf[128];
-    out += "{\"name\":\"" + esc(name) + "\",\"cat\":\"";
+    out += "{\"name\":\"" + json::escape(name) + "\",\"cat\":\"";
     out += phase;
     std::snprintf(buf, sizeof buf,
                   "\",\"ph\":\"X\",\"pid\":0,\"tid\":%llu,"

@@ -8,43 +8,6 @@ namespace mg::trace
 namespace
 {
 
-/** JSON string escape. */
-std::string
-esc(const std::string &s)
-{
-    return jsonEscape(s);
-}
-
-} // namespace
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\t': out += "\\t"; break;
-        case '\r': out += "\\r"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-namespace
-{
-
 /** Key/value emitter building one flat object at a time. */
 class Obj
 {
@@ -87,7 +50,7 @@ class Obj
     {
         key(k);
         o += '"';
-        o += esc(v);
+        o += json::escape(v);
         o += '"';
     }
 

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "isa/minigraph_types.h"
 #include "uarch/sim_stats.h"
 
@@ -86,8 +87,12 @@ std::string errorJson(const StatsMeta &meta, const std::string &error);
 std::string errorJson(const StatsMeta &meta, const std::string &error,
                       const ErrorDetail &detail);
 
-/** JSON string escape (exported for callers composing JSON lines). */
-std::string jsonEscape(const std::string &s);
+/** json::escape, for callers composing JSON lines. */
+inline std::string
+jsonEscape(const std::string &s)
+{
+    return json::escape(s);
+}
 
 } // namespace mg::trace
 

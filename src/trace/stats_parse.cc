@@ -1,11 +1,9 @@
 #include "trace/stats_parse.h"
 
-#include <cerrno>
+#include <charconv>
 #include <cstdint>
-#include <cstdlib>
-#include <map>
-#include <memory>
-#include <vector>
+
+#include "common/json.h"
 
 namespace mg::trace
 {
@@ -13,294 +11,8 @@ namespace mg::trace
 namespace
 {
 
-/**
- * Minimal JSON document model.  Numbers keep their raw text so
- * integer counters round-trip exactly (no double conversion).
- */
-struct JsonValue
-{
-    enum class Kind : uint8_t { Null, Bool, Number, String, Object, Array };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    std::string text; ///< raw number text, or decoded string
-    std::vector<std::pair<std::string, JsonValue>> members;
-    std::vector<JsonValue> elements;
-
-    const JsonValue *
-    find(const std::string &key) const
-    {
-        for (const auto &m : members)
-            if (m.first == key)
-                return &m.second;
-        return nullptr;
-    }
-};
-
-/** Recursive-descent parser building a JsonValue tree. */
-class DomParser
-{
-  public:
-    explicit DomParser(const std::string &s) : text(s) {}
-
-    std::string
-    run(JsonValue &out)
-    {
-        skipWs();
-        if (!value(out))
-            return error;
-        skipWs();
-        if (pos != text.size())
-            fail("trailing data");
-        return error;
-    }
-
-  private:
-    bool
-    fail(const std::string &what)
-    {
-        if (error.empty())
-            error = what + " at offset " + std::to_string(pos);
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < text.size() &&
-               (text[pos] == ' ' || text[pos] == '\t' ||
-                text[pos] == '\n' || text[pos] == '\r'))
-            ++pos;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        size_t n = 0;
-        while (word[n])
-            ++n;
-        if (text.compare(pos, n, word) != 0)
-            return fail(std::string("expected '") + word + "'");
-        pos += n;
-        return true;
-    }
-
-    bool
-    value(JsonValue &out)
-    {
-        if (pos >= text.size())
-            return fail("unexpected end of input");
-        switch (text[pos]) {
-        case '{': return object(out);
-        case '[': return array(out);
-        case '"':
-            out.kind = JsonValue::Kind::String;
-            return string(out.text);
-        case 't':
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = true;
-            return literal("true");
-        case 'f':
-            out.kind = JsonValue::Kind::Bool;
-            out.boolean = false;
-            return literal("false");
-        case 'n':
-            out.kind = JsonValue::Kind::Null;
-            return literal("null");
-        default: return number(out);
-        }
-    }
-
-    bool
-    object(JsonValue &out)
-    {
-        out.kind = JsonValue::Kind::Object;
-        ++pos; // '{'
-        skipWs();
-        if (pos < text.size() && text[pos] == '}') {
-            ++pos;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            if (pos >= text.size() || text[pos] != '"')
-                return fail("expected object key");
-            std::string key;
-            if (!string(key))
-                return false;
-            skipWs();
-            if (pos >= text.size() || text[pos] != ':')
-                return fail("expected ':'");
-            ++pos;
-            skipWs();
-            JsonValue v;
-            if (!value(v))
-                return false;
-            out.members.emplace_back(std::move(key), std::move(v));
-            skipWs();
-            if (pos >= text.size())
-                return fail("unterminated object");
-            if (text[pos] == ',') {
-                ++pos;
-                continue;
-            }
-            if (text[pos] == '}') {
-                ++pos;
-                return true;
-            }
-            return fail("expected ',' or '}'");
-        }
-    }
-
-    bool
-    array(JsonValue &out)
-    {
-        out.kind = JsonValue::Kind::Array;
-        ++pos; // '['
-        skipWs();
-        if (pos < text.size() && text[pos] == ']') {
-            ++pos;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            JsonValue v;
-            if (!value(v))
-                return false;
-            out.elements.push_back(std::move(v));
-            skipWs();
-            if (pos >= text.size())
-                return fail("unterminated array");
-            if (text[pos] == ',') {
-                ++pos;
-                continue;
-            }
-            if (text[pos] == ']') {
-                ++pos;
-                return true;
-            }
-            return fail("expected ',' or ']'");
-        }
-    }
-
-    bool
-    string(std::string &out)
-    {
-        ++pos; // '"'
-        while (pos < text.size()) {
-            unsigned char c = text[pos];
-            if (c == '"') {
-                ++pos;
-                return true;
-            }
-            if (c == '\\') {
-                ++pos;
-                if (pos >= text.size())
-                    return fail("unterminated escape");
-                char e = text[pos];
-                switch (e) {
-                case '"': out += '"'; break;
-                case '\\': out += '\\'; break;
-                case '/': out += '/'; break;
-                case 'b': out += '\b'; break;
-                case 'f': out += '\f'; break;
-                case 'n': out += '\n'; break;
-                case 'r': out += '\r'; break;
-                case 't': out += '\t'; break;
-                case 'u': {
-                    unsigned v = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        ++pos;
-                        if (pos >= text.size() || !isHex(text[pos]))
-                            return fail("bad \\u escape");
-                        v = v * 16 + hexVal(text[pos]);
-                    }
-                    // The writer only emits \u00xx control bytes;
-                    // decode BMP code points as UTF-8 for good measure.
-                    if (v < 0x80) {
-                        out += static_cast<char>(v);
-                    } else if (v < 0x800) {
-                        out += static_cast<char>(0xC0 | (v >> 6));
-                        out += static_cast<char>(0x80 | (v & 0x3F));
-                    } else {
-                        out += static_cast<char>(0xE0 | (v >> 12));
-                        out += static_cast<char>(0x80 | ((v >> 6) & 0x3F));
-                        out += static_cast<char>(0x80 | (v & 0x3F));
-                    }
-                    break;
-                }
-                default: return fail("bad escape character");
-                }
-                ++pos;
-            } else if (c < 0x20) {
-                return fail("raw control character in string");
-            } else {
-                out += static_cast<char>(c);
-                ++pos;
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    number(JsonValue &out)
-    {
-        out.kind = JsonValue::Kind::Number;
-        size_t start = pos;
-        if (pos < text.size() && text[pos] == '-')
-            ++pos;
-        if (pos >= text.size() || !isDigit(text[pos]))
-            return fail("expected value");
-        while (pos < text.size() && isDigit(text[pos]))
-            ++pos;
-        if (pos < text.size() && text[pos] == '.') {
-            ++pos;
-            if (pos >= text.size() || !isDigit(text[pos]))
-                return fail("bad fraction");
-            while (pos < text.size() && isDigit(text[pos]))
-                ++pos;
-        }
-        if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
-            ++pos;
-            if (pos < text.size() &&
-                (text[pos] == '+' || text[pos] == '-'))
-                ++pos;
-            if (pos >= text.size() || !isDigit(text[pos]))
-                return fail("bad exponent");
-            while (pos < text.size() && isDigit(text[pos]))
-                ++pos;
-        }
-        out.text = text.substr(start, pos - start);
-        return true;
-    }
-
-    static bool
-    isDigit(char c)
-    {
-        return c >= '0' && c <= '9';
-    }
-
-    static bool
-    isHex(char c)
-    {
-        return isDigit(c) || (c >= 'a' && c <= 'f') ||
-               (c >= 'A' && c <= 'F');
-    }
-
-    static unsigned
-    hexVal(char c)
-    {
-        if (isDigit(c))
-            return static_cast<unsigned>(c - '0');
-        if (c >= 'a' && c <= 'f')
-            return static_cast<unsigned>(c - 'a' + 10);
-        return static_cast<unsigned>(c - 'A' + 10);
-    }
-
-    const std::string &text;
-    size_t pos = 0;
-    std::string error;
-};
+using json::Kind;
+using json::Value;
 
 /**
  * Field extraction helper: accumulates the first error and makes the
@@ -320,32 +32,22 @@ class Extract
     }
 
     bool
-    u64(const JsonValue &obj, const char *key, uint64_t &out)
+    u64(const Value &obj, const char *key, uint64_t &out)
     {
-        const JsonValue *v = obj.find(key);
-        if (!v || v->kind != JsonValue::Kind::Number)
+        const Value *v = obj.find(key);
+        if (!v || v->kind != Kind::Number)
             return fail(std::string("missing counter '") + key + "'");
-        // Counters are non-negative integers; the tokenizer already
-        // rejects NaN/Infinity as syntax errors, but "-5", "1.5" and
-        // "1e3" are valid JSON numbers that strtoull would quietly
-        // mangle (wrap, truncate, stop at the dot), as would a value
-        // past 2^64 (ERANGE saturation).  All of those are corrupt
-        // input for a counter field, not data.
-        const std::string &t = v->text;
-        if (t.find_first_of("-.eE") != std::string::npos)
+        // Counters are non-negative integers: "-5", "1.5", "1e3" and
+        // values past 2^64 are valid JSON numbers, but corrupt input
+        // for a counter field, not data.
+        if (!json::toU64(*v, out))
             return fail(std::string("counter '") + key +
-                        "' is not a non-negative integer");
-        errno = 0;
-        char *end = nullptr;
-        out = std::strtoull(t.c_str(), &end, 10);
-        if (errno == ERANGE || end != t.c_str() + t.size())
-            return fail(std::string("counter '") + key +
-                        "' out of uint64 range");
+                        "' is not a non-negative 64-bit integer");
         return true;
     }
 
     bool
-    u32(const JsonValue &obj, const char *key, uint32_t &out)
+    u32(const Value &obj, const char *key, uint32_t &out)
     {
         uint64_t v = 0;
         if (!u64(obj, key, v))
@@ -358,20 +60,20 @@ class Extract
     }
 
     bool
-    str(const JsonValue &obj, const char *key, std::string &out)
+    str(const Value &obj, const char *key, std::string &out)
     {
-        const JsonValue *v = obj.find(key);
-        if (!v || v->kind != JsonValue::Kind::String)
+        const Value *v = obj.find(key);
+        if (!v || v->kind != Kind::String)
             return fail(std::string("missing string '") + key + "'");
         out = v->text;
         return true;
     }
 
-    const JsonValue *
-    object(const JsonValue &obj, const char *key)
+    const Value *
+    object(const Value &obj, const char *key)
     {
-        const JsonValue *v = obj.find(key);
-        if (!v || v->kind != JsonValue::Kind::Object) {
+        const Value *v = obj.find(key);
+        if (!v || v->kind != Kind::Object) {
             fail(std::string("missing object '") + key + "'");
             return nullptr;
         }
@@ -380,10 +82,10 @@ class Extract
 };
 
 bool
-parseCache(Extract &x, const JsonValue &parent, const char *name,
+parseCache(Extract &x, const Value &parent, const char *name,
            uarch::CacheStats &out)
 {
-    const JsonValue *c = x.object(parent, name);
+    const Value *c = x.object(parent, name);
     if (!c)
         return false;
     return x.u64(*c, "accesses", out.accesses) &&
@@ -395,10 +97,11 @@ parseCache(Extract &x, const JsonValue &parent, const char *name,
 std::string
 parseStatsJson(const std::string &line, ParsedStats &out)
 {
-    JsonValue root;
-    if (std::string err = DomParser(line).run(root); !err.empty())
+    json::Document doc;
+    if (std::string err = json::parse(line, doc); !err.empty())
         return err;
-    if (root.kind != JsonValue::Kind::Object)
+    const Value &root = doc.root;
+    if (root.kind != Kind::Object)
         return "top-level value is not an object";
 
     Extract x;
@@ -410,8 +113,8 @@ parseStatsJson(const std::string &line, ParsedStats &out)
         return x.error;
 
     // errorJson records carry "error" instead of the counters.
-    if (const JsonValue *e = root.find("error")) {
-        if (e->kind != JsonValue::Kind::String)
+    if (const Value *e = root.find("error")) {
+        if (e->kind != Kind::String)
             return "'error' is not a string";
         out.isError = true;
         out.error = e->text;
@@ -424,10 +127,15 @@ parseStatsJson(const std::string &line, ParsedStats &out)
             x.str(root, "stderrTail", out.detail.stderrTail);
             out.detail.signal = static_cast<int>(sig);
             out.detail.attempts = attempts;
-            if (const JsonValue *es = root.find("exitStatus");
-                es && es->kind == JsonValue::Kind::Number)
-                out.detail.exitStatus =
-                    static_cast<int>(std::atoll(es->text.c_str()));
+            // A signed int, as the writer prints it ("%d").
+            if (const Value *es = root.find("exitStatus");
+                es && es->kind == Kind::Number) {
+                const char *last = es->text.data() + es->text.size();
+                const auto [ptr, ec] = std::from_chars(
+                    es->text.data(), last, out.detail.exitStatus);
+                if (ec != std::errc() || ptr != last)
+                    x.fail("'exitStatus' is not an int");
+            }
         }
         return x.error;
     }
@@ -439,7 +147,7 @@ parseStatsJson(const std::string &line, ParsedStats &out)
     x.u64(root, "committedHandles", r.committedHandles);
     x.u64(root, "coveredInsts", r.coveredInsts);
 
-    if (const JsonValue *mg = x.object(root, "minigraphs")) {
+    if (const Value *mg = x.object(root, "minigraphs")) {
         x.u64(*mg, "instances", out.meta.mgInstances);
         x.u64(*mg, "templatesUsed", out.meta.mgTemplatesUsed);
         x.u64(*mg, "disabledExpansions", r.disabledExpansions);
@@ -448,10 +156,10 @@ parseStatsJson(const std::string &line, ParsedStats &out)
               r.slackDynamicDisabledStatic);
     }
 
-    if (const JsonValue *la = root.find("lossAccounting");
-        la && la->kind == JsonValue::Kind::Object) {
+    if (const Value *la = root.find("lossAccounting");
+        la && la->kind == Kind::Object) {
         x.u32(*la, "commitWidth", r.accountedWidth);
-        if (const JsonValue *b = x.object(*la, "buckets")) {
+        if (const Value *b = x.object(*la, "buckets")) {
             for (size_t i = 0; i < uarch::kNumLossBuckets; ++i)
                 x.u64(*b,
                       uarch::lossBucketName(
@@ -462,31 +170,31 @@ parseStatsJson(const std::string &line, ParsedStats &out)
         x.fail("missing 'lossAccounting'");
     }
 
-    if (const JsonValue *mt = root.find("mgTemplates");
-        mt && mt->kind == JsonValue::Kind::Array) {
-        for (const JsonValue &t : mt->elements) {
-            if (t.kind != JsonValue::Kind::Object)
+    if (const Value *mt = root.find("mgTemplates");
+        mt && mt->kind == Kind::Array) {
+        for (const Value &t : mt->children) {
+            if (t.kind != Kind::Object)
                 return "mgTemplates element is not an object";
             uarch::MgTemplateSerialStats s;
             x.u64(t, "issues", s.issues);
             x.u64(t, "extWaitCycles", s.extWaitCycles);
             x.u64(t, "intPenaltyCycles", s.intPenaltyCycles);
             r.mgTemplates.push_back(s);
-            if (const JsonValue *n = t.find("name");
-                n && n->kind == JsonValue::Kind::String)
-                out.meta.templateNames.push_back(n->text);
+            if (const Value *n = t.find("name");
+                n && n->kind == Kind::String)
+                out.meta.templateNames.emplace_back(n->text);
         }
     } else {
         x.fail("missing 'mgTemplates'");
     }
 
-    if (const JsonValue *st = x.object(root, "stalls")) {
+    if (const Value *st = x.object(root, "stalls")) {
         x.u64(*st, "rob", r.robStallCycles);
         x.u64(*st, "iq", r.iqStallCycles);
         x.u64(*st, "reg", r.regStallCycles);
     }
 
-    if (const JsonValue *bl = x.object(root, "blame")) {
+    if (const Value *bl = x.object(root, "blame")) {
         x.u64(*bl, "notDispatched", r.blameNotDispatched);
         x.u64(*bl, "earliest", r.blameEarliest);
         x.u64(*bl, "srcs", r.blameSrcs);
@@ -496,7 +204,7 @@ parseStatsJson(const std::string &line, ParsedStats &out)
         x.u64(*bl, "issued", r.blameIssued);
     }
 
-    if (const JsonValue *bp = x.object(root, "branchPred")) {
+    if (const Value *bp = x.object(root, "branchPred")) {
         x.u64(*bp, "condPredictions", r.branchPred.condPredictions);
         x.u64(*bp, "condMispredicts", r.branchPred.condMispredicts);
         x.u64(*bp, "btbMisses", r.branchPred.btbMisses);
@@ -504,7 +212,7 @@ parseStatsJson(const std::string &line, ParsedStats &out)
         x.u64(*bp, "rasMispredicts", r.branchPred.rasMispredicts);
     }
 
-    if (const JsonValue *cs = x.object(root, "caches")) {
+    if (const Value *cs = x.object(root, "caches")) {
         parseCache(x, *cs, "icache", r.icache);
         parseCache(x, *cs, "dcache", r.dcache);
         parseCache(x, *cs, "l2", r.l2);
@@ -512,14 +220,14 @@ parseStatsJson(const std::string &line, ParsedStats &out)
         parseCache(x, *cs, "dtlb", r.dtlb);
     }
 
-    if (const JsonValue *m = x.object(root, "memory")) {
+    if (const Value *m = x.object(root, "memory")) {
         x.u64(*m, "orderViolations", r.memOrderViolations);
         x.u64(*m, "issueReplays", r.issueReplays);
         x.u64(*m, "storeSetViolations", r.storeSets.violations);
         x.u64(*m, "storeSetLoadsDeferred", r.storeSets.loadsDeferred);
     }
 
-    if (const JsonValue *sd = x.object(root, "slackDynamic")) {
+    if (const Value *sd = x.object(root, "slackDynamic")) {
         x.u64(*sd, "serializedIssues", r.slackDynamic.serializedIssues);
         x.u64(*sd, "harmfulEvents", r.slackDynamic.harmfulEvents);
         x.u64(*sd, "disables", r.slackDynamic.disables);

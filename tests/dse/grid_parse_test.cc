@@ -44,6 +44,17 @@ TEST(GridParse, RejectsMalformedJson)
     rejects("{\"workloads\": [");
     rejects("");
     rejects("[1, 2, 3]"); // top level must be an object
+
+    // Inputs an earlier reader crashed on or misread: each now fails
+    // with a positioned message.
+    for (const std::string &bad :
+         {"{\"width\": " + std::string(200000, '['),
+          std::string("{\"width\": [2], \"width\": [4]}"),
+          std::string("{\"width\": [3-4]}"),
+          std::string("{\"iq\": [2e]}")}) {
+        EXPECT_NE(rejects(bad).find(" at offset "), std::string::npos)
+            << bad.substr(0, 40);
+    }
 }
 
 TEST(GridParse, RejectsUnknownKeysAndBase)
@@ -76,6 +87,20 @@ TEST(GridParse, RejectsZeroAndNegativeDimensions)
     EXPECT_NE(rejects("{\"mgt\": [256.5]}")
                   .find("'mgt' values must be positive integers"),
               std::string::npos);
+    EXPECT_NE(rejects("{\"iq\": [4294967296]}")
+                  .find("'iq' values must be positive integers"),
+              std::string::npos);
+}
+
+TEST(GridParse, AcceptsIntegralValuesInAnyNumberForm)
+{
+    GridSpec grid;
+    ASSERT_EQ(parseGrid("{\"workloads\": [\"crc32.0\"],"
+                        " \"configs\": [[4.0, 3e1, 96, 4294967295]]}",
+                        grid),
+              "");
+    ASSERT_EQ(grid.configs.size(), 1u);
+    EXPECT_EQ(grid.configs[0], (ConfigTuple{4, 30, 96, 4294967295u}));
 }
 
 TEST(GridParse, RejectsMalformedConfigTuples)

@@ -162,9 +162,10 @@ TEST(StaticRank, AnalyzeReportIsConsistentAndDeterministic)
 TEST(StaticRank, JsonEscapesQuotesAndControlChars)
 {
     AnalyzeReport r;
-    r.program = "we\"ird\\na\tme";
+    r.program = "we\"ird\\na\tme\x01";
     std::string json = analyzeReportJson(r);
-    EXPECT_NE(json.find("we\\\"ird\\\\na\\u0009me"), std::string::npos);
+    EXPECT_NE(json.find("we\\\"ird\\\\na\\tme\\u0001"),
+              std::string::npos);
 }
 
 } // namespace

@@ -52,6 +52,21 @@ realEntry()
     return {req, trace::statsJson(metaForRun(req, r), r.sim)};
 }
 
+/** A Fig-8 style request simulating an explicit chosen set. */
+RunRequest
+chosenRequest(const std::vector<std::pair<isa::Addr, uint8_t>> &sites)
+{
+    RunRequest req = request("crc32.0", "reduced");
+    req.chosen.emplace();
+    for (const auto &[pc, len] : sites) {
+        minigraph::Candidate c;
+        c.firstPc = pc;
+        c.len = len;
+        req.chosen->push_back(c);
+    }
+    return req;
+}
+
 TEST(JournalTest, RunKeyDistinguishesRequests)
 {
     std::string base = runKey(request("crc32.0", "reduced"));
@@ -73,6 +88,10 @@ TEST(JournalTest, RunKeyDistinguishesRequests)
     RunRequest budget = request("crc32.0", "reduced");
     budget.templateBudget = 8;
     EXPECT_NE(base, runKey(budget));
+
+    // Two different chosen sets of the same size.
+    EXPECT_NE(runKey(chosenRequest({{0x40, 2}, {0x80, 3}})),
+              runKey(chosenRequest({{0x40, 2}, {0x84, 3}})));
 }
 
 TEST(JournalTest, RunKeyIsFramingSafe)
@@ -83,7 +102,8 @@ TEST(JournalTest, RunKeyIsFramingSafe)
     for (const auto &key :
          {runKey(request("crc32.0", "reduced")),
           runKey(request("gcc_like.2", "full",
-                         SelectorKind::SlackProfile))}) {
+                         SelectorKind::SlackProfile)),
+          runKey(chosenRequest({{0x40, 2}, {0x80, 3}}))}) {
         EXPECT_EQ(key.find('\t'), std::string::npos) << key;
         EXPECT_EQ(key.find('\n'), std::string::npos) << key;
         EXPECT_EQ(key.find(':'), std::string::npos) << key;
@@ -217,10 +237,11 @@ TEST(JournalTest, GarbageBytesAreDroppedOthersSurvive)
         out << "\x01\x02\xff binary garbage, no tab\n";
         out << "b\tnot a stats json line\n";
         out << "c\t" << line << "\n";
+        out << "d\t" << std::string(200000, '[') << "\n"; // stack bomb
     }
     LoadResult loaded = load(path);
     EXPECT_EQ(loaded.entries.size(), 2u);
-    EXPECT_EQ(loaded.dropped, 2u);
+    EXPECT_EQ(loaded.dropped, 3u);
     EXPECT_FALSE(loaded.warning.empty());
     EXPECT_EQ(loaded.entries.count("a"), 1u);
     EXPECT_EQ(loaded.entries.count("c"), 1u);

@@ -142,6 +142,28 @@ TEST(PerfBenchJson, ParserRejectsGarbage)
     EXPECT_FALSE(parseBenchJson("{}", out).empty());
     EXPECT_FALSE(
         parseBenchJson("{\"schema\": \"mg-bench-v0\"}", out).empty());
+
+    // A well-formed document, then the corruptions an earlier reader
+    // let through: trailing text, and a hash that is not 16 hex
+    // digits (it read "zz..." as 0).
+    PerfReport rep;
+    rep.pr = 6;
+    rep.subset = "pinned";
+    PerfRun run;
+    run.cell = {"crc32.0", "reduced", "none"};
+    run.ok = true;
+    run.statsHash = 0x94a80c99f921d7fdull;
+    rep.runs.push_back(run);
+    const std::string doc = benchJson(rep);
+    ASSERT_EQ(parseBenchJson(doc, out), "");
+    EXPECT_EQ(out.runs.at(0).statsHash, 0x94a80c99f921d7fdull);
+    EXPECT_FALSE(parseBenchJson(doc + "}\n", out).empty());
+    const size_t hash = doc.find("94a80c99f921d7fd");
+    for (const char *bad : {"zz", "-1", ""}) {
+        std::string corrupt = doc;
+        corrupt.replace(hash, 2, bad);
+        EXPECT_FALSE(parseBenchJson(corrupt, out).empty()) << bad;
+    }
 }
 
 TEST(PerfFnv, KnownVectors)

@@ -1,16 +1,30 @@
 /**
  * @file
  * The stats-JSON parser (trace/stats_parse.h): byte-faithful round
- * trips on real runs — the property the batch journal and the
- * isolated-run wire format rely on — plus error-record parsing and
- * malformed-input rejection.
+ * trips on real runs and on every golden line — the property the
+ * batch journal and the isolated-run wire format rely on — plus
+ * error-record parsing, malformed-input rejection, and seeded
+ * mutants of the golden lines, which must fail with a diagnostic or
+ * re-serialize to a fixed point (never crash; the asan-ubsan leg runs
+ * this file too).
  */
+
+#include <algorithm>
+#include <fstream>
+#include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
+#include "common/rng.h"
 #include "sim/experiment.h"
 #include "trace/stats_json.h"
 #include "trace/stats_parse.h"
+
+#ifndef MG_GOLDEN_DIR
+#error "MG_GOLDEN_DIR must point at tests/golden"
+#endif
 
 namespace mg::trace
 {
@@ -185,6 +199,107 @@ TEST(StatsParseTest, RejectsTruncatedRealLine)
         EXPECT_NE(parseStatsJson(line.substr(0, cut), parsed), "")
             << "prefix of " << cut << " bytes unexpectedly parsed";
     }
+}
+
+std::string
+goldenFile(const std::string &name)
+{
+    std::ifstream in(std::string(MG_GOLDEN_DIR) + "/" + name,
+                     std::ios::binary);
+    EXPECT_TRUE(in) << name;
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+std::vector<std::string>
+goldenLines(const std::string &name)
+{
+    std::istringstream in(goldenFile(name));
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        if (!line.empty())
+            lines.push_back(line);
+    return lines;
+}
+
+/** The line a parse serializes back to. */
+std::string
+reserialize(const ParsedStats &p)
+{
+    return p.isError ? errorJson(p.meta, p.error, p.detail)
+                     : statsJson(p.meta, p.sim);
+}
+
+TEST(StatsParseTest, GoldenLinesRoundTripExactly)
+{
+    const std::vector<std::string> lines =
+        goldenLines("golden_stats.jsonl");
+    ASSERT_EQ(lines.size(), 15u);
+    for (const std::string &line : lines) {
+        ParsedStats parsed;
+        ASSERT_EQ(parseStatsJson(line, parsed), "") << line;
+        EXPECT_EQ(reserialize(parsed), line);
+    }
+}
+
+TEST(StatsParseTest, OtherGoldenDocumentsParse)
+{
+    json::Document doc;
+    for (const std::string &line : goldenLines("golden_analyze.jsonl"))
+        EXPECT_EQ(json::parse(line, doc), "") << line;
+    EXPECT_EQ(json::parse(goldenFile("golden_pareto.json"), doc), "");
+}
+
+/** One seeded edit: flip, insert, delete, or duplicate a span. */
+std::string
+mutate(const std::string &line, Rng &rng)
+{
+    // Bias new bytes toward JSON structure, where edits bite hardest.
+    static const std::string kStructural = "{}[],:\"\\-+.eE0123456789 u";
+    auto byte = [&rng]() {
+        return rng.chance(0.5)
+                   ? kStructural[rng.below(kStructural.size())]
+                   : static_cast<char>(rng.below(256));
+    };
+    std::string m = line;
+    const size_t at = rng.below(m.size());
+    switch (rng.below(4)) {
+    case 0: m[at] = static_cast<char>(m[at] ^ (1 + rng.below(255))); break;
+    case 1: m.insert(at, 1, byte()); break;
+    case 2: m.erase(at, 1); break;
+    default: {
+        const size_t len =
+            1 + rng.below(std::min<size_t>(32, m.size() - at));
+        m.insert(at + len, m.substr(at, len));
+    }
+    }
+    return m;
+}
+
+TEST(StatsParseTest, MutatedGoldenLinesFailCleanlyOrReachAFixedPoint)
+{
+    Rng rng(0x6d75746174650aull);
+    size_t rejected = 0, accepted = 0;
+    for (const std::string &line : goldenLines("golden_stats.jsonl")) {
+        for (int i = 0; i < 400; ++i) {
+            const std::string mutant = mutate(line, rng);
+            ParsedStats parsed;
+            if (!parseStatsJson(mutant, parsed).empty()) {
+                ++rejected;
+                continue;
+            }
+            ++accepted;
+            const std::string once = reserialize(parsed);
+            ParsedStats again;
+            ASSERT_EQ(parseStatsJson(once, again), "")
+                << "mutant: " << mutant;
+            EXPECT_EQ(reserialize(again), once) << "mutant: " << mutant;
+        }
+    }
+    // Both outcomes must actually be exercised.
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(accepted, 0u);
 }
 
 } // namespace

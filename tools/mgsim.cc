@@ -108,6 +108,7 @@
 #include "fuzz/generator.h"
 #include "fuzz/oracle.h"
 #include "fuzz/shrink.h"
+#include "common/json.h"
 #include "common/stats_util.h"
 #include "common/string_util.h"
 #include "minigraph/rewriter.h"
@@ -120,7 +121,6 @@
 #include "sim/runner.h"
 #include "trace/konata.h"
 #include "trace/stats_json.h"
-#include "trace/validate.h"
 
 namespace
 {
@@ -450,13 +450,13 @@ cmdTrace(const cli::Args &args)
                      konata_path.c_str(), err.c_str());
         rc = 1;
     }
-    if (std::string err = trace::validateJson(slurp(chrome_path));
+    if (std::string err = json::validate(slurp(chrome_path));
         !err.empty()) {
         std::fprintf(stderr, "%s: invalid JSON: %s\n",
                      chrome_path.c_str(), err.c_str());
         rc = 1;
     }
-    if (std::string err = trace::validateJson(slurp(stats_path));
+    if (std::string err = json::validate(slurp(stats_path));
         !err.empty()) {
         std::fprintf(stderr, "%s: invalid JSON: %s\n",
                      stats_path.c_str(), err.c_str());
